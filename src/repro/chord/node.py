@@ -49,11 +49,3 @@ class ChordNode(Node):
             unique.add(self.predecessor.id)
         unique.discard(self.id)
         return len(unique)
-
-    def pointer_targets(self) -> List["ChordNode"]:
-        """Every node this node currently points at (for tests)."""
-        targets = [f for f in self.fingers if f is not None]
-        targets.extend(self.successors)
-        if self.predecessor is not None:
-            targets.append(self.predecessor)
-        return targets

@@ -458,8 +458,3 @@ class Network(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} n={self.size}>"
-
-
-def filter_alive(nodes: Iterable[Optional[Node]]) -> List[Node]:
-    """Utility: drop ``None`` and dead entries from a pointer list."""
-    return [n for n in nodes if n is not None and n.alive]

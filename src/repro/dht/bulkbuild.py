@@ -32,7 +32,7 @@ aspirational:
 Downstream, bulk columns feed every execution tier without the object
 graph: :func:`repro.dht.kernel.kernel_from_columns` compiles them for
 vectorized lookups, :meth:`CycloidColumns.snapshot` enters the snapshot
-codec, and :func:`bulk_setup` is a picklable
+codec, and :func:`bulk_setup` is a
 :func:`~repro.sim.parallel.run_sharded_lookups` setup callable.
 """
 
@@ -823,12 +823,11 @@ def bulk_setup(
     seed: Optional[int] = None,
     **build_kwargs,
 ):
-    """A picklable ``run_sharded_lookups`` setup callable.
+    """A ``run_sharded_lookups`` setup callable.
 
     Returns ``(network, None)``: the bulk-built network (restored
     through the packed form — identical to the object build, per the
-    parity pin) and no fault injector.  Module-level so
-    ``functools.partial`` over it crosses the process pool.
+    parity pin) and no fault injector.
     """
     columns = build_columns(protocol, count, seed=seed, **build_kwargs)
     return columns.to_network(), None

@@ -175,21 +175,12 @@ class LookupStats:
         """Fault-mode probe continuations summed over all lookups."""
         return sum(r.retries for r in self.records)
 
-    def retry_summary(self) -> DistributionSummary:
-        """Distribution of per-lookup retry counts (crash experiment)."""
-        return summarize([r.retries for r in self.records])
-
     def latencies_ms(self) -> List[float]:
         """The modeled per-lookup milliseconds, for records that have
         them (latency-free records are simply absent)."""
         return [
             r.latency_ms for r in self.records if r.latency_ms is not None
         ]
-
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean modeled lookup latency; 0.0 when nothing was modeled."""
-        return mean(self.latencies_ms())
 
     def latency_percentiles(self) -> Dict[str, float]:
         """The milliseconds distribution the fig-latency experiment

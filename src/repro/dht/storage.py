@@ -289,6 +289,3 @@ class KeyValueStore:
         """The key's owner plus its ``replicas - 1`` closest live peers."""
         return replica_set(self.network, key, self.replicas)
 
-    def _closeness(self, key_id: object, node: Node) -> object:
-        """Distance of ``node`` to ``key_id`` in the overlay's own metric."""
-        return closeness(self.network, key_id, node)

@@ -23,6 +23,7 @@ from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from repro.dht.metrics import LookupStats
+from repro.experiments.common import run_lookups
 from repro.experiments.registry import build_complete_network
 from repro.sim.parallel import (
     DEFAULT_SHARD_SIZE,
@@ -139,8 +140,9 @@ class CloneBenchCell:
     protocol); ``restore_seconds``/``clone_seconds`` are what a shard
     pays now (snapshot restore across the pool, in-process clone on the
     serial path).  ``digest_match`` confirms the cheap path changed
-    nothing: snapshot-distribution digest == rebuild-distribution
-    digest on the same cell.
+    nothing: the snapshot-sharded digest == the digest of
+    :func:`~repro.experiments.common.run_lookups` on a freshly built
+    network of the same cell.
     """
 
     protocol: str
@@ -190,12 +192,13 @@ def run_clone_bench(
 ) -> List[CloneBenchCell]:
     """Time one full network build against snapshot restore / clone.
 
-    The build is what the rebuild distribution pays *per shard*; the
-    restore/clone is what the snapshot distribution pays instead, so
+    The build is what a per-shard rebuild would pay; the restore/clone
+    is what a snapshot-sharded shard pays instead, so
     ``restore_speedup`` is the per-shard saving of DESIGN §S21.  Every
     timing is the best of ``repeats`` runs.  The digest check runs the
-    same small cell through both distributions at ``workers=1`` and
-    compares merged digests.
+    same small cell sharded at ``workers=1`` and through
+    :func:`~repro.experiments.common.run_lookups` on a fresh build, and
+    compares digests.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -228,15 +231,9 @@ def run_clone_bench(
             seed + dimension,
             workers=1,
             shard_size=shard_size,
-            distribution="snapshot",
         )
-        via_rebuild = run_sharded_lookups(
-            setup,
-            lookups,
-            seed + dimension,
-            workers=1,
-            shard_size=shard_size,
-            distribution="rebuild",
+        via_build = run_lookups(
+            setup()[0], lookups, seed=seed + dimension, shard_size=shard_size
         )
         cells.append(
             CloneBenchCell(
@@ -248,7 +245,7 @@ def run_clone_bench(
                 restore_seconds=restore_seconds,
                 clone_seconds=clone_seconds,
                 digest_match=(
-                    via_snapshot.stats.digest() == via_rebuild.stats.digest()
+                    via_snapshot.stats.digest() == via_build.digest()
                 ),
             )
         )
@@ -374,7 +371,7 @@ def bench_report(
     """The JSON document ``bench`` writes to ``BENCH_parallel.json``.
 
     ``all_match`` covers every digest comparison in the report: the
-    serial-vs-parallel cells, the snapshot-vs-rebuild clone cells *and*
+    serial-vs-parallel cells, the snapshot-vs-fresh-build clone cells *and*
     the object-vs-columnar kernel cells.
     """
     return {

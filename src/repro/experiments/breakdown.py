@@ -36,10 +36,6 @@ class BreakdownPoint:
     mean_hops_by_phase: Dict[str, float]
     fraction_by_phase: Dict[str, float]
 
-    @property
-    def total_mean_hops(self) -> float:
-        return sum(self.mean_hops_by_phase.values())
-
 
 def run_phase_breakdown_experiment(
     dimensions: Sequence[int] = (3, 4, 5, 6, 7, 8),
@@ -48,7 +44,6 @@ def run_phase_breakdown_experiment(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = "object",
 ) -> List[BreakdownPoint]:
     """Fig. 7(a)-(c): phase breakdown on complete networks."""
@@ -66,7 +61,6 @@ def run_phase_breakdown_experiment(
                 lookups,
                 seed + dimension,
                 workers=workers,
-                distribution=distribution,
                 observer=observer,
                 backend=backend,
             ).stats
@@ -93,7 +87,6 @@ def run_koorde_sparsity_breakdown(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = "object",
 ) -> List[BreakdownPoint]:
     """Fig. 14: Koorde's de Bruijn vs successor hop split vs sparsity.
@@ -120,7 +113,6 @@ def run_koorde_sparsity_breakdown(
             lookups,
             seed + count,
             workers=workers,
-            distribution=distribution,
             observer=observer,
             backend=backend,
         ).stats

@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from repro.dht.base import Network
 from repro.dht.kernel import DEFAULT_BACKEND, check_backend
 from repro.dht.metrics import LookupStats
 from repro.dht.routing import TraceObserver
-from repro.sim.faults import FaultInjector
-from repro.sim.latency import LatencyModel
-from repro.sim.parallel import DEFAULT_SHARD_SIZE, plan_shards
-from repro.sim.workload import lookup_workload
-from repro.util.rng import shard_rng
+from repro.sim.parallel import (
+    DEFAULT_SHARD_SIZE,
+    ShardTask,
+    plan_shards,
+    route_shard,
+)
 
 __all__ = ["run_lookups", "fail_nodes"]
 
@@ -23,14 +23,10 @@ def run_lookups(
     network: Network,
     count: int,
     seed: Optional[int] = None,
-    keys: Sequence[object] = (),
+    *,
     observer: Optional[TraceObserver] = None,
-    injector: Optional[FaultInjector] = None,
-    retry_budget: int = 0,
-    rng_factory: Optional[Callable[[int], random.Random]] = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
     backend: str = DEFAULT_BACKEND,
-    latency: Optional[LatencyModel] = None,
 ) -> LookupStats:
     """Execute ``count`` random lookups on ``network`` and gather records.
 
@@ -39,67 +35,31 @@ def run_lookups(
     (source, key) pairs, so a seeded sample estimates it — pass a larger
     ``count`` to tighten the estimate (see DESIGN.md §4).
 
-    The workload is executed in deterministic shards (DESIGN.md §S20):
-    shard ``k`` covers a contiguous slice of the global lookup indices
-    and draws from ``rng_factory(k)``.  The default factory derives
-    independent streams from ``(seed, k)`` via
-    :func:`repro.util.rng.shard_rng`, which makes the record sequence
-    identical to a :func:`repro.sim.parallel.run_sharded_lookups` run
-    of the same cell whenever routing carries no state between lookups
-    (always true without an active injector).  Pass ``rng_factory``
-    directly to control the streams; exactly one of ``seed`` /
-    ``rng_factory`` is required — silent default seeds already bit us
-    in ``fail_nodes``, so there is no unseeded fallback anywhere.
+    The workload is executed in deterministic shards (DESIGN.md §S20),
+    each routed by :func:`repro.sim.parallel.route_shard` — the code
+    every :func:`~repro.sim.parallel.run_sharded_lookups` shard runs —
+    so shard ``k`` draws from ``shard_rng(seed, k)``.  Unlike the
+    sharded runner, every shard routes on the given ``network``
+    instance itself; routing carries no state between fault-free
+    lookups, so the records equal a sharded run of the same cell.
+    ``seed`` is mandatory — silent default seeds already bit us in
+    ``fail_nodes``, so there is no unseeded fallback anywhere.
 
-    All shards run in-process against the given ``network`` instance;
     ``observer`` (e.g. a :class:`~repro.dht.routing.JsonlTraceSink`)
-    receives every per-hop trace event.  ``injector``/``retry_budget``
-    switch the engine into fault mode (see :mod:`repro.sim.faults`);
-    each shard draws message-loss verdicts from the injector's
-    per-shard stream (:meth:`~repro.sim.faults.FaultInjector.for_shard`).
-    ``backend`` selects the lookup execution strategy (``"object"`` or
-    the bit-identical vectorized ``"columnar"`` kernel, DESIGN §S23).
-    ``latency`` attaches a :class:`~repro.sim.latency.LatencyModel` so
-    every record carries its modeled end-to-end milliseconds (§S25).
+    receives every per-hop trace event.  ``backend`` selects the lookup
+    execution strategy (``"object"`` or the bit-identical vectorized
+    ``"columnar"`` kernel, DESIGN §S23).
     """
     check_backend(backend)
-    if rng_factory is not None and seed is not None:
-        raise TypeError("pass either seed or rng_factory, not both")
-    if rng_factory is None:
-        if seed is None:
-            raise TypeError(
-                "run_lookups() requires an explicit seed=... or "
-                "rng_factory=... so the experiment is reproducible by "
-                "construction"
-            )
-        rng_factory = partial(shard_rng, seed)
+    if seed is None:
+        raise TypeError(
+            "run_lookups() requires an explicit seed=... so the "
+            "experiment is reproducible by construction"
+        )
     stats = LookupStats()
     for spec in plan_shards(count, shard_size):
-        shard_injector = (
-            injector.for_shard(spec.index) if injector is not None else None
-        )
-        stats.extend(
-            network.lookup_many(
-                lookup_workload(
-                    network,
-                    spec.count,
-                    rng_factory(spec.index),
-                    keys,
-                    start=spec.offset,
-                ),
-                observer=observer,
-                injector=shard_injector,
-                retry_budget=retry_budget,
-                backend=backend,
-                latency=(
-                    latency.for_shard(spec.index)
-                    if latency is not None
-                    else None
-                ),
-            )
-        )
-        if shard_injector is not None:
-            injector.dropped += shard_injector.dropped
+        task = ShardTask(spec=spec, seed=seed, backend=backend)
+        stats.extend(route_shard(network, task, observer=observer))
     return stats
 
 

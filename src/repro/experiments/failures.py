@@ -35,10 +35,9 @@ def departed_setup(
 ):
     """Shard setup: a complete network after seeded graceful departures.
 
-    Module-level (and built with ``functools.partial``) so shard tasks
-    pickle into worker processes; every shard rebuilds the identical
-    post-departure topology because both the build and the departure
-    draw are pure functions of the seeds.
+    It runs once per cell; every shard routes on a restored copy of the
+    post-departure topology, which is a pure function of the seeds
+    because both the build and the departure draw are.
     """
     network = build_complete_network(protocol, dimension, seed=seed)
     fail_nodes(network, probability, make_rng(departure_seed))
@@ -70,7 +69,6 @@ def run_mass_departure_experiment(
     seed: int = 42,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
 ) -> List[FailurePoint]:
     """Fig. 11 (mean path length vs p) and Table 4 (timeouts vs p).
 
@@ -92,7 +90,6 @@ def run_mass_departure_experiment(
                 lookups,
                 seed + 1,
                 workers=workers,
-                distribution=distribution,
                 observer=observer,
             )
             stats = merged.stats

@@ -79,11 +79,7 @@ def build_cycloid_variant(
     leaf_selection: str,
     latency: Optional[LatencyModel] = None,
 ) -> CycloidNetwork:
-    """A complete Cycloid overlay wired with ``leaf_selection``.
-
-    Module-level (and all arguments picklable) so ``functools.partial``
-    over it crosses the process pool of a sharded run.
-    """
+    """A complete Cycloid overlay wired with ``leaf_selection``."""
     return CycloidNetwork.complete(
         dimension, leaf_selection=leaf_selection, latency=latency
     )
@@ -97,7 +93,6 @@ def run_latency_experiment(
     model: LatencyModel = DEFAULT_MODEL,
     observer: Optional[TraceObserver] = None,
     workers: int = 1,
-    distribution: str = "snapshot",
     backend: str = DEFAULT_BACKEND,
     shard_size: int = DEFAULT_SHARD_SIZE,
 ) -> List[LatencyPoint]:
@@ -150,7 +145,6 @@ def run_latency_experiment(
             workers=workers,
             shard_size=shard_size,
             observer=observer,
-            distribution=distribution,
             backend=backend,
             latency=model,
         )

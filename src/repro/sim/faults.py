@@ -356,8 +356,8 @@ class FaultState:
     injector is a pure function of ``(plan, flaky_nodes, crashed)`` —
     which is exactly what this dataclass carries.  :meth:`rebuild`
     therefore yields an injector whose shard children are bit-identical
-    to the original's, making the snapshot path's fault schedule
-    indistinguishable from the rebuild path's.
+    to the original's, making a restored shard's fault schedule
+    indistinguishable from a per-shard rebuild's.
     """
 
     plan: FaultPlan

@@ -9,11 +9,12 @@ This module restructures a cell's workload into **shards**:
   non-overlapping index ranges.  The shard plan is a pure function of
   ``(count, shard_size)`` — never of the worker count — so the same
   cell always produces the same shards no matter how it is executed.
-* Each shard draws its workload from its own RNG stream, derived from
-  ``(seed, shard_index)`` via :func:`repro.util.rng.shard_rng`, builds
-  its network locally from a picklable zero-argument ``setup``
-  callable, and returns a picklable :class:`ShardResult` (records plus
-  query-load / repair / fault aggregates).
+* :func:`route_shard` draws a shard's workload from its own RNG
+  stream, derived from ``(seed, shard_index)`` via
+  :func:`repro.util.rng.shard_rng`, and routes it; it is the only code
+  that turns a shard into lookups.  :func:`execute_shard` wraps it
+  with a fresh network and returns a picklable :class:`ShardResult`
+  (records plus query-load / repair / fault aggregates).
 * :func:`merge_shards` folds shard results **by shard index**, so the
   merged run is invariant under any completion order, and cross-checks
   the invariants that make the merge meaningful (every shard saw the
@@ -34,21 +35,15 @@ Every shard routes on a **fresh network instance**.  That is what makes
 fault-mode runs order-independent: lazy route repair
 (``Network.on_dead_entry``) mutates routing tables, so two shards
 sharing one network instance would leak state from whichever ran first.
-How the fresh instance is obtained is the ``distribution`` choice:
-
-* ``"snapshot"`` (the default, §S21) builds the prepared network from
-  the setup callable **exactly once**, captures it — as an immutable
-  :class:`~repro.dht.snapshot.NetworkSnapshot` for pool workers, or via
-  the in-process :meth:`~repro.dht.base.Network.clone` fast path when
-  running serially — and hands every shard a restored copy in O(state).
-  Fault injectors are never serialised: the post-setup injector is a
-  pure function of ``(plan, flaky set, crash count)``
-  (:class:`~repro.sim.faults.FaultState`) and reattaches bit-exactly.
-* ``"rebuild"`` (§S20, kept as the referee) re-runs the setup callable
-  in every shard — one full join protocol per shard.
-
-Both distributions produce bit-identical merged digests at every worker
-count; the parity suite pins snapshot == rebuild for every overlay,
+The cell's network is built by the ``setup`` callable **exactly once**,
+in the calling process, and captured — as an immutable
+:class:`~repro.dht.snapshot.NetworkSnapshot` for pool workers, or as
+one in-process packed copy when running serially — so every shard
+routes on a restored copy made in O(state).  Fault injectors are never
+serialised: the post-setup injector is a pure function of ``(plan,
+flaky set, crash count)`` (:class:`~repro.sim.faults.FaultState`) and
+reattaches bit-exactly.  The parity suite pins the merged run equal to
+a referee that re-runs ``setup`` for every shard, for every overlay,
 with and without an enabled :class:`~repro.sim.faults.FaultPlan`.
 
 Trace observers hold open file handles and are not picklable, so an
@@ -88,7 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.sim.faults import FaultInjector
 
 __all__ = [
-    "DISTRIBUTIONS",
     "DEFAULT_SHARD_SIZE",
     "ShardSpec",
     "ShardTask",
@@ -96,6 +90,7 @@ __all__ = [
     "MergedRun",
     "plan_shards",
     "plain_setup",
+    "route_shard",
     "execute_shard",
     "merge_shards",
     "run_sharded_lookups",
@@ -105,11 +100,11 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: A network/injector factory: zero-argument, picklable (build it with
-#: ``functools.partial`` over module-level functions), returning the
-#: freshly built + prepared network and the injector whose topology
-#: faults (crashes, flaky marks) have already been applied — or ``None``
-#: for fault-free cells.
+#: A network/injector factory: zero-argument, returning the freshly
+#: built + prepared network and the injector whose topology faults
+#: (crashes, flaky marks) have already been applied — or ``None`` for
+#: fault-free cells.  It runs once per cell in the calling process, so
+#: it need not be picklable.
 Setup = Callable[[], Tuple["Network", Optional["FaultInjector"]]]
 
 #: Default lookups per shard.  Chosen so a paper-scale cell (2000
@@ -117,11 +112,6 @@ Setup = Callable[[], Tuple["Network", Optional["FaultInjector"]]]
 #: busy — while a test-scale cell (a few hundred lookups) stays a
 #: single shard and pays no extra network build.
 DEFAULT_SHARD_SIZE = 500
-
-#: How shards obtain their fresh network instance (module docstring):
-#: ``"snapshot"`` builds once and restores copies; ``"rebuild"``
-#: re-runs the setup callable per shard.
-DISTRIBUTIONS: Tuple[str, ...] = ("snapshot", "rebuild")
 
 
 def available_workers() -> int:
@@ -213,8 +203,7 @@ def plain_setup(builder: Callable[..., "Network"], *args, **kwargs):
     """Adapt a bare network builder into a fault-free :data:`Setup`.
 
     ``functools.partial(plain_setup, build_complete_network, "chord",
-    8, seed=42)`` is picklable as long as ``builder`` is a module-level
-    callable with picklable arguments.
+    8, seed=42)`` builds a complete 8-dimensional Chord cell.
     """
     return builder(*args, **kwargs), None
 
@@ -223,17 +212,16 @@ def plain_setup(builder: Callable[..., "Network"], *args, **kwargs):
 class ShardTask:
     """Everything a worker process needs to execute one shard.
 
-    Exactly one network source must be set: ``snapshot`` (the build-once
-    distribution — ``faults`` reattaches the injector from the plan
-    seed) or ``setup`` (the per-shard rebuild distribution).  A cell's
-    snapshot bytes are captured once and shared by reference across all
-    of its tasks, so the pool pickles them once per worker, not once
-    per shard.
+    Pool workers restore the shard's network from ``snapshot``, with
+    ``faults`` reattaching the injector from the plan seed; the
+    in-process path leaves both unset and hands :func:`execute_shard`
+    the network as ``prepared``.  A cell's snapshot bytes are captured
+    once and shared by reference across all of its tasks, so the pool
+    pickles them once per worker, not once per shard.
     """
 
     spec: ShardSpec
     seed: int
-    setup: Optional[Setup] = None
     keys: Tuple[object, ...] = ()
     retry_budget: int = 0
     snapshot: Optional[NetworkSnapshot] = None
@@ -243,12 +231,6 @@ class ShardTask:
     #: pool workers as-is, and ``for_shard`` keeps every shard on the
     #: identical pure-function model.
     latency: Optional[LatencyModel] = None
-
-    def __post_init__(self) -> None:
-        if (self.setup is None) == (self.snapshot is None):
-            raise ValueError(
-                "exactly one of setup/snapshot must be provided"
-            )
 
 
 @dataclass
@@ -283,44 +265,23 @@ class MergedRun:
     shards: int = 0
 
 
-def execute_shard(
+def route_shard(
+    network: "Network",
     task: ShardTask,
+    injector: Optional["FaultInjector"] = None,
     observer: Optional["TraceObserver"] = None,
-    prepared: Optional[
-        Tuple["Network", Optional["FaultInjector"]]
-    ] = None,
-) -> ShardResult:
-    """Run one shard: obtain a fresh network, route, aggregate.
+) -> List[LookupRecord]:
+    """Route one shard's seeded lookups on ``network``.
 
-    This is the single execution path for every worker count — the
-    serial fallback calls it in-process, the parallel path ships the
-    (picklable) task to a pool worker.  The network comes from, in
-    order of precedence: ``prepared`` (an in-process clone handed over
-    by the serial snapshot path), the task's ``snapshot`` (restored
-    bytes, injector reattached from ``task.faults``), or the task's
-    ``setup`` callable (full per-shard rebuild).  ``observer`` only
-    exists on the in-process path; it never affects routing.
+    The workload of shard ``task.spec`` is drawn from
+    ``shard_rng(task.seed, index)`` at the shard's global offset, and
+    the latency model is split per shard.  ``injector`` must already be
+    the shard's own stream (:meth:`FaultInjector.for_shard`).  This is
+    the one body that routes a shard: :func:`execute_shard` and
+    :func:`repro.experiments.common.run_lookups` both call it.
     """
     spec = task.spec
-    if prepared is not None:
-        network, injector = prepared
-    elif task.snapshot is not None:
-        network = task.snapshot.restore()
-        injector = (
-            task.faults.rebuild() if task.faults is not None else None
-        )
-    else:
-        network, injector = task.setup()
-    shard_injector = (
-        injector.for_shard(spec.index) if injector is not None else None
-    )
-    shard_latency = (
-        task.latency.for_shard(spec.index)
-        if task.latency is not None
-        else None
-    )
-    network.reset_query_counts()
-    records = network.lookup_many(
+    return network.lookup_many(
         lookup_workload(
             network,
             spec.count,
@@ -329,14 +290,48 @@ def execute_shard(
             start=spec.offset,
         ),
         observer=observer,
-        injector=shard_injector,
+        injector=injector,
         retry_budget=task.retry_budget,
         backend=task.backend,
-        latency=shard_latency,
+        latency=(
+            task.latency.for_shard(spec.index)
+            if task.latency is not None
+            else None
+        ),
     )
+
+
+def execute_shard(
+    task: ShardTask,
+    observer: Optional["TraceObserver"] = None,
+    prepared: Optional[
+        Tuple["Network", Optional["FaultInjector"]]
+    ] = None,
+) -> ShardResult:
+    """Run one shard on a fresh network and aggregate its result.
+
+    This is the single execution path for every worker count — the
+    serial fallback calls it in-process with the network copy as
+    ``prepared``, the parallel path ships the (picklable) task to a
+    pool worker, which restores the network from ``task.snapshot`` and
+    reattaches the injector from ``task.faults``.  ``observer`` only
+    exists on the in-process path; it never affects routing.
+    """
+    if prepared is not None:
+        network, injector = prepared
+    else:
+        network = task.snapshot.restore()
+        injector = (
+            task.faults.rebuild() if task.faults is not None else None
+        )
+    shard_injector = (
+        injector.for_shard(task.spec.index) if injector is not None else None
+    )
+    network.reset_query_counts()
+    records = route_shard(network, task, shard_injector, observer)
     live = network.live_nodes()
     return ShardResult(
-        index=spec.index,
+        index=task.spec.index,
         records=records,
         query_counts={
             node.name: count
@@ -403,7 +398,6 @@ def run_sharded_lookups(
     keys: Sequence[object] = (),
     retry_budget: int = 0,
     observer: Optional["TraceObserver"] = None,
-    distribution: str = "snapshot",
     backend: str = DEFAULT_BACKEND,
     latency: Optional[LatencyModel] = None,
 ) -> MergedRun:
@@ -411,78 +405,36 @@ def run_sharded_lookups(
 
     The result is a pure function of ``(setup, count, seed, shard_size,
     keys, retry_budget, latency)`` — ``workers`` only chooses the
-    fan-out, ``distribution`` only chooses how each shard obtains its
-    fresh network, and ``backend`` only chooses each shard's lookup
-    execution strategy (``"object"`` or the bit-identical ``"columnar"``
-    kernel, DESIGN §S23).  ``"snapshot"`` builds once and hands every
-    shard a restored copy (clones in-process, pickled bytes across the
-    pool); ``"rebuild"`` re-runs ``setup`` per shard.  Both are
-    bit-identical.  ``workers=1`` (or a non-picklable ``observer``, or a
-    single-shard plan) runs every shard in-process through the identical
-    shard/merge path.  An attached :class:`~repro.sim.latency.LatencyModel`
-    is a pure function of its seed, so records carry identical modeled
-    milliseconds at every worker count (DESIGN §S25).
+    fan-out, and ``backend`` only chooses each shard's lookup execution
+    strategy (``"object"`` or the bit-identical ``"columnar"`` kernel,
+    DESIGN §S23).  ``setup`` runs once, in this process; every shard
+    routes on a restored copy of its network (pickled snapshot bytes
+    across the pool, packed copies in-process).  ``workers=1`` (or a
+    non-picklable ``observer``, or a single-shard plan) runs every shard
+    in-process through the identical shard/merge path.  An attached
+    :class:`~repro.sim.latency.LatencyModel` is a pure function of its
+    seed, so records carry identical modeled milliseconds at every
+    worker count (DESIGN §S25).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown distribution {distribution!r}; "
-            f"expected one of {DISTRIBUTIONS}"
-        )
     check_backend(backend)
     _warn_if_oversubscribed(workers)
     specs = plan_shards(count, shard_size)
-    serial = workers == 1 or observer is not None or len(specs) <= 1
-    if distribution == "rebuild":
-        tasks = [
-            ShardTask(
-                setup=setup,
-                spec=spec,
-                seed=seed,
-                keys=tuple(keys),
-                retry_budget=retry_budget,
-                backend=backend,
-                latency=latency,
-            )
-            for spec in specs
-        ]
-        if serial:
-            results = [execute_shard(task, observer) for task in tasks]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks))
-            ) as pool:
-                results = list(pool.map(execute_shard, tasks))
-        return merge_shards(results)
     if not specs:
         return merge_shards([])
-    # Build-once snapshot distribution: one setup() for the whole cell.
+    serial = workers == 1 or observer is not None or len(specs) == 1
     network, injector = setup()
-    if serial:
-        # Shards before the last route on copies unpacked from one
-        # packed capture of the still-pristine original (only copies
-        # are mutated); the final shard consumes the original itself,
-        # so a single-shard plan packs nothing at all.
-        packed = pack_network(network) if len(specs) > 1 else None
-        results = []
-        for task in _snapshot_tasks(
-            specs, seed, keys, retry_budget, backend, latency
-        ):
-            prepared = (
-                (network, injector)
-                if task.spec is specs[-1]
-                else (unpack_network(packed), injector)
-            )
-            results.append(execute_shard(task, observer, prepared))
-        return merge_shards(results)
-    snapshot = network.snapshot()
-    faults = FaultState.capture(injector) if injector is not None else None
+    snapshot = faults = None
+    if not serial:
+        snapshot = network.snapshot()
+        faults = FaultState.capture(injector) if injector is not None else None
+    shard_keys = tuple(keys)
     tasks = [
         ShardTask(
             spec=spec,
             seed=seed,
-            keys=tuple(keys),
+            keys=shard_keys,
             retry_budget=retry_budget,
             snapshot=snapshot,
             faults=faults,
@@ -491,44 +443,21 @@ def run_sharded_lookups(
         )
         for spec in specs
     ]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        results = list(pool.map(execute_shard, tasks))
+    if not serial:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks))
+        ) as pool:
+            return merge_shards(list(pool.map(execute_shard, tasks)))
+    # Shards before the last route on copies unpacked from one packed
+    # capture of the still-pristine original (only copies are mutated);
+    # the final shard consumes the original itself, so a single-shard
+    # plan packs nothing at all.
+    packed = pack_network(network) if len(tasks) > 1 else None
+    results = []
+    for task in tasks:
+        copy = network if task is tasks[-1] else unpack_network(packed)
+        results.append(execute_shard(task, observer, (copy, injector)))
     return merge_shards(results)
-
-
-def _snapshot_tasks(
-    specs: Sequence[ShardSpec],
-    seed: int,
-    keys: Sequence[object],
-    retry_budget: int,
-    backend: str = DEFAULT_BACKEND,
-    latency: Optional[LatencyModel] = None,
-) -> List[ShardTask]:
-    """Placeholder tasks for the in-process snapshot path.
-
-    The network arrives via ``execute_shard``'s ``prepared`` argument;
-    the dummy setup satisfies the one-source-only task invariant and is
-    never called.
-    """
-    return [
-        ShardTask(
-            setup=_prepared_network_expected,
-            spec=spec,
-            seed=seed,
-            keys=tuple(keys),
-            retry_budget=retry_budget,
-            backend=backend,
-            latency=latency,
-        )
-        for spec in specs
-    ]
-
-
-def _prepared_network_expected():  # pragma: no cover - never called
-    raise RuntimeError(
-        "in-process snapshot tasks must be run with prepared=(network, "
-        "injector)"
-    )
 
 
 def _call_cell(task: Callable[[], T]) -> T:

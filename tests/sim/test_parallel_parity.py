@@ -22,7 +22,14 @@ import pytest
 from repro.dht.metrics import LookupStats
 from repro.experiments.registry import ALL_PROTOCOLS, build_complete_network
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.parallel import plain_setup, run_sharded_lookups
+from repro.sim.parallel import (
+    ShardTask,
+    execute_shard,
+    merge_shards,
+    plain_setup,
+    plan_shards,
+    run_sharded_lookups,
+)
 
 #: Small enough to stay fast, large enough for four non-trivial shards.
 LOOKUPS = 120
@@ -45,6 +52,17 @@ def _fault_setup(protocol: str, dimension: int, plan: FaultPlan):
 
 
 FAULT_PLAN = FaultPlan(seed=SEED + 30, crash_probability=0.3, message_loss=0.05)
+
+
+def rebuilt_shard_results(setup, count, seed, shard_size, **task_fields):
+    """The per-shard rebuild referee: every shard routes on a network
+    (and injector) freshly built by its own ``setup()`` call."""
+    return [
+        execute_shard(
+            ShardTask(spec=spec, seed=seed, **task_fields), prepared=setup()
+        )
+        for spec in plan_shards(count, shard_size)
+    ]
 
 
 def _assert_runs_equal(serial, parallel):
@@ -102,6 +120,19 @@ def test_parallel_matches_serial_under_faults(protocol):
     assert serial.crashed > 0  # the plan actually fired
 
 
+def test_setup_need_not_be_picklable():
+    """``setup`` runs only in the calling process, so a lambda serves
+    a pooled run as well as a serial one."""
+    setup = lambda: (build_complete_network("cycloid", 4, seed=SEED), None)
+    serial = run_sharded_lookups(
+        setup, LOOKUPS, SEED, workers=1, shard_size=SHARD_SIZE
+    )
+    parallel = run_sharded_lookups(
+        setup, LOOKUPS, SEED, workers=2, shard_size=SHARD_SIZE
+    )
+    _assert_runs_equal(serial, parallel)
+
+
 def _assert_same_merged(a, b):
     assert a.stats.digest() == b.stats.digest()
     assert a.stats.records == b.stats.records
@@ -116,14 +147,11 @@ def _assert_same_merged(a, b):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_snapshot_distribution_matches_rebuild(protocol, workers):
     """§S21: build-once snapshot distribution is bit-identical to the
-    per-shard rebuild path at every worker count."""
-    rebuild = run_sharded_lookups(
-        _setup(protocol, 4),
-        LOOKUPS,
-        SEED + 4,
-        workers=workers,
-        shard_size=SHARD_SIZE,
-        distribution="rebuild",
+    per-shard rebuild referee at every worker count."""
+    rebuild = merge_shards(
+        rebuilt_shard_results(
+            _setup(protocol, 4), LOOKUPS, SEED + 4, SHARD_SIZE
+        )
     )
     snapshot = run_sharded_lookups(
         _setup(protocol, 4),
@@ -131,7 +159,6 @@ def test_snapshot_distribution_matches_rebuild(protocol, workers):
         SEED + 4,
         workers=workers,
         shard_size=SHARD_SIZE,
-        distribution="snapshot",
     )
     _assert_same_merged(rebuild, snapshot)
 
@@ -145,14 +172,10 @@ def test_snapshot_distribution_matches_rebuild_under_faults(
     the plan seed on every restored copy, so crashes, loss streams and
     lazy repair must replay identically."""
     setup = partial(_fault_setup, protocol, 4, FAULT_PLAN)
-    rebuild = run_sharded_lookups(
-        setup,
-        LOOKUPS,
-        SEED,
-        workers=workers,
-        shard_size=SHARD_SIZE,
-        retry_budget=6,
-        distribution="rebuild",
+    rebuild = merge_shards(
+        rebuilt_shard_results(
+            setup, LOOKUPS, SEED, SHARD_SIZE, retry_budget=6
+        )
     )
     snapshot = run_sharded_lookups(
         setup,
@@ -161,7 +184,6 @@ def test_snapshot_distribution_matches_rebuild_under_faults(
         workers=workers,
         shard_size=SHARD_SIZE,
         retry_budget=6,
-        distribution="snapshot",
     )
     _assert_same_merged(rebuild, snapshot)
     assert rebuild.crashed > 0  # the plan actually fired

@@ -20,14 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dht.metrics import LookupStats
 from repro.experiments.registry import build_complete_network
-from repro.sim.parallel import (
-    execute_shard,
-    merge_shards,
-    plan_shards,
-    plain_setup,
-    ShardTask,
-)
+from repro.sim.parallel import merge_shards, plan_shards, plain_setup
 from repro.util.stats import summarize
+from tests.sim.test_parallel_parity import rebuilt_shard_results
 
 counts = st.integers(min_value=0, max_value=5000)
 shard_sizes = st.integers(min_value=1, max_value=700)
@@ -67,10 +62,7 @@ def _real_shard_results():
     setup = partial(
         plain_setup, build_complete_network, "cycloid", 4, seed=42
     )
-    return [
-        execute_shard(ShardTask(setup=setup, spec=spec, seed=7))
-        for spec in plan_shards(96, 16)
-    ]
+    return rebuilt_shard_results(setup, 96, 7, 16)
 
 
 SHARD_RESULTS = _real_shard_results()
