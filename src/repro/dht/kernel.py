@@ -81,6 +81,12 @@ DEFAULT_BACKEND = "object"
 #: 2**60 for every realistic dimension).
 _INF = np.int64(2**62) if np is not None else None
 
+#: Initial wave capacity of the Cycloid kernel's per-batch path
+#: buffers; a batch that walks longer doubles them.  Preallocating
+#: ``hop_limit + 1`` waves would make megabytes resident per batch for
+#: walks that are a few dozen hops long.
+_PATH_WAVES = 32
+
 
 def check_backend(backend: str) -> None:
     """Validate a backend name with an actionable error: name the bad
@@ -269,6 +275,24 @@ def _first_true(mask):
     return np.where(mask.any(axis=1), pos, width)
 
 
+def _grow_waves(buffer):
+    """Double a wave-major ``(waves, batch)`` path buffer, padding the
+    new waves with ``-1``."""
+    return np.concatenate([buffer, np.full_like(buffer, -1)], axis=0)
+
+
+def _seen(values, history):
+    """Per-row membership: ``values[r, j]`` appears in ``history[:, r]``.
+
+    ``values`` is ``(m, width)``, ``history`` the wave-major ``(waves,
+    m)`` slice of a path buffer, compared one wave at a time — the cost
+    follows the walk length, not the network."""
+    seen = np.zeros(values.shape, dtype=bool)
+    for wave in history:
+        seen |= values == wave[:, None]
+    return seen
+
+
 def _sort_segment(key, *arrays):
     """Stable per-row sort of a candidate segment by ``key`` (invalid
     entries carry ``_INF`` and sink to the end); gathers ``arrays``
@@ -350,8 +374,12 @@ class CycloidKernel(_KernelBase):
     ``[n, leaf_radius]`` index matrices padded with ``-1``; precomputed
     outside-arc endpoints per node.  ``alias`` maps every index to the
     live holder of its identifier (identity for live nodes), so the
-    by-id ``visited`` checks of the object engine translate to plain
-    row gathers.
+    object engine's by-id ``visited`` set becomes a set of live indices.
+
+    Per-batch state never scales with n: a batch keeps wave-major
+    ``(waves, batch)`` int32 path buffers — the node each row stood on
+    (its ``visited`` set) and the cycle it marked explored — and
+    answers membership by comparing against the waves so far.
     """
 
     PHASES = ("ascending", "descending", "traverse")
@@ -697,9 +725,15 @@ class CycloidKernel(_KernelBase):
     def _execute(self, cur, kcub, kcyc, klin):
         batch = cur.shape[0]
         owners = self._owners(kcub, kcyc, klin)
-        count = self.cyc.shape[0]
-        visited = np.zeros((batch, count), dtype=bool)
-        explored = np.zeros((batch, self.modulus), dtype=bool)
+        # Visit state bounded by the walk, not the network.  Every
+        # active row marks exactly one node per wave, and a row active
+        # in wave w was active in all earlier waves, so ``path[:w + 1,
+        # row]`` is its whole walk (``visited``) and ``explored[:w,
+        # row]`` the cycle each earlier wave marked explored, ``-1``
+        # for none.
+        path = np.full((_PATH_WAVES, batch), -1, dtype=np.int32)
+        explored = np.full((_PATH_WAVES, batch), -1, dtype=np.int32)
+        wave = 0
         # begin_route observes the source.
         best_key = self._packed_distance(kcub, kcyc, klin, cur)
         best_idx = cur.copy()
@@ -723,11 +757,17 @@ class CycloidKernel(_KernelBase):
                 if rows.size == 0:
                     continue
                 current = cur[rows]
-            visited[rows, current] = True
-            nxt, pcode, wave_touts = self._decide(
+            if wave == path.shape[0]:
+                path = _grow_waves(path)
+                explored = _grow_waves(explored)
+            path[wave, rows] = current
+            nxt, pcode, wave_touts, marked = self._decide(
                 rows, current, kcub[rows], kcyc[rows], klin[rows],
-                visited, explored, best_key, best_idx,
+                path[: wave + 1, rows], explored[:wave, rows],
+                best_key, best_idx,
             )
+            explored[wave, rows] = marked
+            wave += 1
             timeouts[rows] += wave_touts
             forwarded = nxt >= 0
             go = rows[forwarded]
@@ -759,7 +799,7 @@ class CycloidKernel(_KernelBase):
         return hops, timeouts, success, phase_counts, final_idx, hop_log
 
     def _decide(
-        self, rows, current, kcub, kcyc, klin, visited, explored,
+        self, rows, current, kcub, kcyc, klin, walked, explored,
         best_key, best_idx,
     ):
         """One vectorized `_choose_next` wave.
@@ -773,6 +813,11 @@ class CycloidKernel(_KernelBase):
         live, unvisited (unless the segment allows revisits) candidate;
         dead candidates at earlier positions cost one timeout each,
         deduplicated by identifier exactly like ``dead_tried``.
+
+        ``walked`` / ``explored`` are the rows' ``(waves, m)`` path
+        buffer slices (see :meth:`_execute`); returns the next hop
+        (``-1`` to stop), its phase code, the wave's timeouts and the
+        cycle each row marks explored (``-1`` for none).
         """
         d, modulus = self.d, self.modulus
         m = rows.size
@@ -973,7 +1018,7 @@ class CycloidKernel(_KernelBase):
             inside = leaves[:, :half]
             ins_safe = leaf_safe[:, :half]
             ins_alias = ins_safe if all_alive else self.alias[ins_safe]
-            ins_unvisited = ~visited[rows[:, None], ins_alias]
+            ins_unvisited = ~_seen(ins_alias, walked)
             ins_valid = (
                 locally_minimal[:, None] & leaf_ok[:, :half] & ins_unvisited
             )
@@ -987,7 +1032,7 @@ class CycloidKernel(_KernelBase):
                 locally_minimal[:, None]
                 & live_out
                 & (out_cube == cur_cube[:, None])
-                & ~explored[rows[:, None], out_cub]
+                & ~_seen(out_cub, explored)
             )
             push(self._SEG_TIED, outside, tied_valid, out_pd * out_w, out_pd)
 
@@ -1015,7 +1060,7 @@ class CycloidKernel(_KernelBase):
         cand_safe = np.maximum(cand, 0)
         cand_alive = valid if all_alive else valid & self.alive[cand_safe]
         cand_alias = cand_safe if all_alive else self.alias[cand_safe]
-        cand_visited = visited[rows[:, None], cand_alias]
+        cand_visited = _seen(cand_alias, walked)
         acceptable = cand_alive & (
             (code == self._SEG_TIED) | ~cand_visited
         )
@@ -1065,12 +1110,11 @@ class CycloidKernel(_KernelBase):
         mark = locally_minimal & (
             ~accepted | (accept_code == self._SEG_TIED)
         )
-        if mark.any():
-            explored[rows[mark], cur_cub[mark]] = True
+        marked = np.where(mark, cur_cub, -1)
 
         nxt = np.where(accepted, cand[row_arange, gather], -1)
         pcode = self._phase_of_seg[accept_code]
-        return nxt, pcode, wave_touts
+        return nxt, pcode, wave_touts, marked
 
     @staticmethod
     def _observe(rows, mask, packed, cand_safe, best_key, best_idx):
