@@ -52,21 +52,18 @@ from repro.experiments.fig_latency import (
     LatencyPoint,
     latency_report,
     run_latency_experiment,
-    validate_latency_report,
 )
 from repro.experiments.adversary import (
     AdversaryPoint,
     HotspotPoint,
     adversary_report,
     run_adversary_experiment,
-    validate_adversary_report,
 )
 from repro.experiments.scale import (
     ScalePoint,
     run_scale_experiment,
     scale_parity,
     scale_report,
-    validate_scale_report,
 )
 from repro.experiments.bench import (
     BenchCell,
@@ -76,8 +73,6 @@ from repro.experiments.bench import (
     run_clone_bench,
     run_kernel_bench,
     run_parallel_bench,
-    validate_net_report,
-    write_bench_report,
 )
 
 __all__ = [
@@ -111,17 +106,14 @@ __all__ = [
     "LatencyPoint",
     "run_latency_experiment",
     "latency_report",
-    "validate_latency_report",
     "AdversaryPoint",
     "HotspotPoint",
     "run_adversary_experiment",
     "adversary_report",
-    "validate_adversary_report",
     "ScalePoint",
     "run_scale_experiment",
     "scale_parity",
     "scale_report",
-    "validate_scale_report",
     "BenchCell",
     "KernelBenchCell",
     "run_parallel_bench",
@@ -129,6 +121,4 @@ __all__ = [
     "run_kernel_bench",
     "bench_report",
     "compare_to_baseline",
-    "write_bench_report",
-    "validate_net_report",
 ]

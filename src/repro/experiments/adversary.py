@@ -30,7 +30,7 @@ depend on workers at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
@@ -68,7 +68,6 @@ __all__ = [
     "hotspot_cell",
     "run_adversary_experiment",
     "adversary_report",
-    "validate_adversary_report",
 ]
 
 #: Schema tag of the ``BENCH_adversary.json`` report.
@@ -331,33 +330,19 @@ def adversary_report(
     attacks: Sequence[AdversaryPoint] = results["attacks"]
     hotspots: Sequence[HotspotPoint] = results["hotspots"]
     degradation: Dict[str, dict] = {}
-    for point in attacks:
-        base = degradation.setdefault(
-            point.protocol,
-            {
-                "baseline_success": None,
-                "worst_success": None,
-                "baseline_hops": None,
-                "worst_hops": None,
-            },
-        )
-        if point.fraction == 0.0:
-            base["baseline_success"] = point.success_rate
-            base["baseline_hops"] = point.mean_hops
-        worst = base["worst_success"]
-        if worst is None or point.success_rate < worst:
-            base["worst_success"] = point.success_rate
-        hops = base["worst_hops"]
-        if hops is None or point.mean_hops > hops:
-            base["worst_hops"] = point.mean_hops
-    for entry in degradation.values():
-        if entry["baseline_success"] is not None:
-            entry["success_drop"] = (
-                entry["baseline_success"] - entry["worst_success"]
-            )
-            entry["hops_inflation"] = (
-                entry["worst_hops"] - entry["baseline_hops"]
-            )
+    for protocol in dict.fromkeys(p.protocol for p in attacks):
+        cells = [p for p in attacks if p.protocol == protocol]
+        baselines = [p for p in cells if p.fraction == 0.0]
+        base = baselines[-1] if baselines else None
+        entry = degradation[protocol] = {
+            "baseline_success": base.success_rate if base else None,
+            "worst_success": min(p.success_rate for p in cells),
+            "baseline_hops": base.mean_hops if base else None,
+            "worst_hops": max(p.mean_hops for p in cells),
+        }
+        if base is not None:
+            entry["success_drop"] = base.success_rate - entry["worst_success"]
+            entry["hops_inflation"] = entry["worst_hops"] - base.mean_hops
     return {
         "schema": ADVERSARY_BENCH_SCHEMA,
         "population": population,
@@ -397,147 +382,7 @@ def adversary_report(
             "zipf_s": zipf_s,
             "key_universe": key_universe,
             "cache_capacity": cache_capacity,
-            "cells": [
-                {
-                    "label": h.label,
-                    "protocol": h.protocol,
-                    "capacity": h.capacity,
-                    "mean_hops": h.mean_hops,
-                    "success_rate": h.success_rate,
-                    "hit_rate": h.hit_rate,
-                    "hits": h.hits,
-                    "misses": h.misses,
-                    "evictions": h.evictions,
-                    "digest": h.digest,
-                }
-                for h in hotspots
-            ],
+            "cells": [asdict(h) for h in hotspots],
         },
     }
 
-
-_ADVERSARY_REPORT_KEYS = (
-    "schema",
-    "population",
-    "lookups",
-    "seed",
-    "target_key",
-    "capture_probes",
-    "cells",
-    "degradation",
-    "hotspot",
-)
-_ADVERSARY_CELL_KEYS = (
-    "label",
-    "protocol",
-    "attacker_fraction",
-    "plan",
-    "population",
-    "space",
-    "sybils",
-    "victims",
-    "poisoned_entries",
-    "capture_fraction",
-    "target_captured",
-    "interception_rate",
-    "success_rate",
-    "mean_hops",
-    "failures",
-    "digest",
-)
-_HOTSPOT_CELL_KEYS = (
-    "label",
-    "protocol",
-    "capacity",
-    "mean_hops",
-    "success_rate",
-    "hit_rate",
-    "hits",
-    "misses",
-    "evictions",
-    "digest",
-)
-
-
-def _check_digest(label: object, digest: object, what: str) -> None:
-    if not (isinstance(digest, str) and len(digest) == 64):
-        raise ValueError(
-            f"{what} cell {label!r} digest is not a sha256 hex digest"
-        )
-
-
-def validate_adversary_report(report: Dict[str, object]) -> None:
-    """Schema-guard a ``BENCH_adversary.json`` document.
-
-    Raises ``ValueError`` naming the first violation: missing keys,
-    malformed cells or plans, out-of-range rates, digests that are not
-    sha256 hex strings, or fewer than three overlays covered.
-    """
-    if not isinstance(report, dict):
-        raise ValueError("adversary report must be a JSON object")
-    if report.get("schema") != ADVERSARY_BENCH_SCHEMA:
-        raise ValueError(
-            f"adversary report schema is {report.get('schema')!r}, "
-            f"expected {ADVERSARY_BENCH_SCHEMA!r}"
-        )
-    for key in _ADVERSARY_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"adversary report is missing {key!r}")
-    cells = report["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("adversary report has no cells")
-    protocols = set()
-    for cell in cells:
-        if not isinstance(cell, dict):
-            raise ValueError("adversary report cells must be objects")
-        for key in _ADVERSARY_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"adversary cell {cell.get('label')!r} is missing {key!r}"
-                )
-        # Round-trips iff the embedded plan block is well-formed.
-        AdversaryPlan.from_config(cell["plan"])
-        for rate_key in (
-            "capture_fraction",
-            "interception_rate",
-            "success_rate",
-        ):
-            rate = cell[rate_key]
-            if not (
-                isinstance(rate, (int, float))
-                and not isinstance(rate, bool)
-                and 0.0 <= rate <= 1.0
-            ):
-                raise ValueError(
-                    f"adversary cell {cell['label']!r} {rate_key} "
-                    f"{rate!r} is not a rate in [0, 1]"
-                )
-        _check_digest(cell["label"], cell["digest"], "adversary")
-        protocols.add(cell["protocol"])
-    if len(protocols) < 3:
-        raise ValueError(
-            f"adversary report covers {len(protocols)} overlays, need >= 3"
-        )
-    hotspot = report["hotspot"]
-    if not isinstance(hotspot, dict):
-        raise ValueError("adversary report hotspot section must be an object")
-    for key in ("zipf_s", "key_universe", "cache_capacity", "cells"):
-        if key not in hotspot:
-            raise ValueError(
-                f"adversary report hotspot section is missing {key!r}"
-            )
-    hotspot_cells = hotspot["cells"]
-    if not isinstance(hotspot_cells, list) or not hotspot_cells:
-        raise ValueError("adversary report has no hotspot cells")
-    for cell in hotspot_cells:
-        if not isinstance(cell, dict):
-            raise ValueError("hotspot cells must be objects")
-        for key in _HOTSPOT_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"hotspot cell {cell.get('label')!r} is missing {key!r}"
-                )
-        _check_digest(cell["label"], cell["digest"], "hotspot")
-    degradation = report["degradation"]
-    if not isinstance(degradation, dict) or not degradation:
-        raise ValueError("adversary report degradation section is empty")

@@ -22,7 +22,7 @@ bit-identical at every worker count; the CI smoke job diffs a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
@@ -44,7 +44,6 @@ __all__ = [
     "build_cycloid_variant",
     "run_latency_experiment",
     "latency_report",
-    "validate_latency_report",
 ]
 
 #: Schema tag of the ``BENCH_latency.json`` report.
@@ -194,19 +193,7 @@ def latency_report(
         "seed": seed,
         "workers": workers,
         "cells": [
-            {
-                "label": p.label,
-                "protocol": p.protocol,
-                "selection": p.selection,
-                "size": p.size,
-                "mean_ms": p.mean_ms,
-                "p50_ms": p.p50_ms,
-                "p95_ms": p.p95_ms,
-                "p99_ms": p.p99_ms,
-                "mean_path_length": p.mean_path_length,
-                "failures": p.failures,
-                "digest": p.digest,
-            }
+            {k: v for k, v in asdict(p).items() if k != "dimension"}
             for p in points
         ],
     }
@@ -222,83 +209,3 @@ def latency_report(
         }
     return report
 
-
-_LATENCY_REPORT_KEYS = (
-    "schema",
-    "model",
-    "dimension",
-    "size",
-    "lookups",
-    "seed",
-    "cells",
-)
-_LATENCY_CELL_KEYS = (
-    "label",
-    "protocol",
-    "selection",
-    "size",
-    "mean_ms",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "mean_path_length",
-    "failures",
-    "digest",
-)
-
-
-def validate_latency_report(report: Dict[str, object]) -> None:
-    """Schema-guard a ``BENCH_latency.json`` document.
-
-    Raises ``ValueError`` naming the first violation: missing keys,
-    malformed cells, or digests that are not sha256 hex strings.
-    """
-    if not isinstance(report, dict):
-        raise ValueError("latency report must be a JSON object")
-    if report.get("schema") != LATENCY_BENCH_SCHEMA:
-        raise ValueError(
-            f"latency report schema is {report.get('schema')!r}, "
-            f"expected {LATENCY_BENCH_SCHEMA!r}"
-        )
-    for key in _LATENCY_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"latency report is missing {key!r}")
-    # Round-trips iff the model block is well-formed.
-    LatencyModel.from_config(report["model"])
-    cells = report["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("latency report has no cells")
-    for cell in cells:
-        if not isinstance(cell, dict):
-            raise ValueError("latency report cells must be objects")
-        for key in _LATENCY_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"latency cell {cell.get('label')!r} is missing {key!r}"
-                )
-        digest = cell["digest"]
-        if not (isinstance(digest, str) and len(digest) == 64):
-            raise ValueError(
-                f"latency cell {cell['label']!r} digest is not a sha256 "
-                "hex digest"
-            )
-    proximity = report.get("proximity")
-    if proximity is not None:
-        for key in (
-            "random_mean_ms",
-            "proximity_mean_ms",
-            "improvement_ms",
-            "proximity_wins",
-        ):
-            if key not in proximity:
-                raise ValueError(
-                    f"latency report proximity section is missing {key!r}"
-                )
-        wins = (
-            proximity["proximity_mean_ms"] < proximity["random_mean_ms"]
-        )
-        if bool(proximity["proximity_wins"]) != wins:
-            raise ValueError(
-                "latency report proximity_wins is inconsistent with the "
-                "means"
-            )

@@ -27,8 +27,8 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Sequence
 
 try:  # numpy backs both the bulk builder and the kernel
     import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "fit_power_law",
     "scale_parity",
     "scale_report",
-    "validate_scale_report",
 ]
 
 #: Schema tag of the ``BENCH_scale.json`` report.
@@ -331,7 +330,7 @@ def scale_parity(
 
 
 # ----------------------------------------------------------------------
-# report + schema guard
+# report
 # ----------------------------------------------------------------------
 
 
@@ -349,164 +348,7 @@ def scale_report(
         "seed": seed,
         "sampler": sampler,
         "speedup_bar": SPEEDUP_BAR,
-        "cells": [
-            {
-                "protocol": p.protocol,
-                "count": p.count,
-                "sizing": p.sizing,
-                "space": p.space,
-                "sampler": p.sampler,
-                "build_seconds": p.build_seconds,
-                "build_nodes_per_sec": p.build_nodes_per_sec,
-                "column_bytes": p.column_bytes,
-                "compile_seconds": p.compile_seconds,
-                "lookups": p.lookups,
-                "lookup_seconds": p.lookup_seconds,
-                "lookups_per_sec": p.lookups_per_sec,
-                "mean_hops": p.mean_hops,
-                "log2_count": p.log2_count,
-                "success_rate": p.success_rate,
-                "timeouts": p.timeouts,
-                "digest": p.digest,
-            }
-            for p in points
-        ],
+        "cells": [asdict(p) for p in points],
         "parity": parity,
     }
 
-
-_SCALE_REPORT_KEYS = (
-    "schema",
-    "lookups",
-    "seed",
-    "sampler",
-    "speedup_bar",
-    "cells",
-    "parity",
-)
-_SCALE_CELL_KEYS = (
-    "protocol",
-    "count",
-    "sizing",
-    "space",
-    "sampler",
-    "build_seconds",
-    "build_nodes_per_sec",
-    "column_bytes",
-    "compile_seconds",
-    "lookups",
-    "lookup_seconds",
-    "lookups_per_sec",
-    "mean_hops",
-    "log2_count",
-    "success_rate",
-    "timeouts",
-    "digest",
-)
-_SCALE_PARITY_KEYS = (
-    "parity_count",
-    "dimension",
-    "seed",
-    "object_digest",
-    "bulk_digest",
-    "digest_match",
-    "ladder",
-    "fit_exponent",
-    "target_protocol",
-    "target_count",
-    "bulk_build_seconds",
-    "extrapolated_object_seconds",
-    "speedup",
-    "speedup_ok",
-)
-
-
-def _sha256_hex(value) -> bool:
-    return isinstance(value, str) and len(value) == 64
-
-
-def validate_scale_report(report: Dict[str, object]) -> None:
-    """Schema-guard a ``BENCH_scale.json`` document.
-
-    Raises ``ValueError`` naming the first violation: missing keys,
-    malformed cells, non-sha256 digests, or parity fields that do not
-    re-derive from each other (digest match, speedup arithmetic and the
-    acceptance flag).
-    """
-    if not isinstance(report, dict):
-        raise ValueError("scale report must be a JSON object")
-    if report.get("schema") != SCALE_BENCH_SCHEMA:
-        raise ValueError(
-            f"scale report schema is {report.get('schema')!r}, "
-            f"expected {SCALE_BENCH_SCHEMA!r}"
-        )
-    for key in _SCALE_REPORT_KEYS:
-        if key not in report:
-            raise ValueError(f"scale report is missing {key!r}")
-    cells = report["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("scale report has no cells")
-    for cell in cells:
-        if not isinstance(cell, dict):
-            raise ValueError("scale report cells must be objects")
-        for key in _SCALE_CELL_KEYS:
-            if key not in cell:
-                raise ValueError(
-                    f"scale cell {cell.get('protocol')!r}/"
-                    f"{cell.get('count')!r} is missing {key!r}"
-                )
-        if not _sha256_hex(cell["digest"]):
-            raise ValueError(
-                f"scale cell {cell['protocol']!r}/{cell['count']} digest "
-                "is not a sha256 hex digest"
-            )
-        if not 0.0 <= float(cell["success_rate"]) <= 1.0:
-            raise ValueError(
-                f"scale cell {cell['protocol']!r}/{cell['count']} "
-                "success_rate is outside [0, 1]"
-            )
-        if not math.isclose(
-            float(cell["log2_count"]), math.log2(int(cell["count"]))
-        ):
-            raise ValueError(
-                f"scale cell {cell['protocol']!r}/{cell['count']} "
-                "log2_count is inconsistent with count"
-            )
-    parity = report["parity"]
-    if not isinstance(parity, dict):
-        raise ValueError("scale report parity section must be an object")
-    for key in _SCALE_PARITY_KEYS:
-        if key not in parity:
-            raise ValueError(
-                f"scale report parity section is missing {key!r}"
-            )
-    for key in ("object_digest", "bulk_digest"):
-        if not _sha256_hex(parity[key]):
-            raise ValueError(
-                f"scale parity {key} is not a sha256 hex digest"
-            )
-    match = parity["object_digest"] == parity["bulk_digest"]
-    if bool(parity["digest_match"]) != match:
-        raise ValueError(
-            "scale parity digest_match is inconsistent with the digests"
-        )
-    ladder = parity["ladder"]
-    if not isinstance(ladder, list) or len(ladder) < 2:
-        raise ValueError("scale parity ladder needs at least two rungs")
-    for rung in ladder:
-        for key in ("count", "dimension", "seconds", "nodes_per_sec"):
-            if key not in rung:
-                raise ValueError(
-                    f"scale parity ladder rung is missing {key!r}"
-                )
-    speedup = float(parity["extrapolated_object_seconds"]) / float(
-        parity["bulk_build_seconds"]
-    )
-    if not math.isclose(float(parity["speedup"]), speedup, rel_tol=1e-9):
-        raise ValueError(
-            "scale parity speedup is inconsistent with its terms"
-        )
-    if bool(parity["speedup_ok"]) != (speedup >= float(report["speedup_bar"])):
-        raise ValueError(
-            "scale parity speedup_ok is inconsistent with the speedup"
-        )

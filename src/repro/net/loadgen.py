@@ -11,7 +11,7 @@ equal the digest over the engine's records for the same deterministic
 workload on a pristine clone of the overlay.  The digests, the match
 verdict and the performance numbers land in a schema-tagged
 ``BENCH_net.json`` (:data:`NET_BENCH_SCHEMA`, guarded by
-:func:`repro.experiments.bench.validate_net_report`).
+:func:`repro.experiments.reports.validate_report`).
 
 The workload is three deterministic op groups derived from one seed:
 ``lookups`` plain lookups, then ``puts`` PUTs, then one GET per PUT
@@ -508,7 +508,7 @@ def partial_report(
     A SIGINT that lands *before* the run installs its signal handler
     (while the overlay builds or the cluster boots) aborts with no
     results at all.  The report it leaves behind must still satisfy
-    :func:`repro.experiments.bench.validate_net_report` — in
+    :func:`repro.experiments.reports.validate_report` — in
     particular it must carry ``"mode"``: the validator once defaulted a
     missing mode to ``"closed-loop"``, which let early-interrupt
     reports masquerade as complete-schema ones.

@@ -10,8 +10,8 @@ from repro.experiments.adversary import (
     ADVERSARY_PROTOCOLS,
     adversary_report,
     run_adversary_experiment,
-    validate_adversary_report,
 )
+from repro.experiments.reports import validate_report
 from repro.sim.adversary import AdversaryPlan
 
 # Three overlays keeps the smoke fast while still exercising the
@@ -105,7 +105,7 @@ class TestReportSchema:
     def test_valid_report_passes(self, results):
         report = make_report(results)
         assert report["schema"] == ADVERSARY_BENCH_SCHEMA
-        validate_adversary_report(report)
+        validate_report(report)
 
     def test_workers_field_is_provenance_only(self, results):
         one = make_report(results, workers=1)
@@ -116,7 +116,7 @@ class TestReportSchema:
 
     def test_report_survives_json_round_trip(self, results):
         report = json.loads(json.dumps(make_report(results)))
-        validate_adversary_report(report)
+        validate_report(report)
         for cell in report["cells"]:
             plan = AdversaryPlan.from_config(cell["plan"])
             assert plan.sybils == cell["sybils"]
@@ -136,25 +136,25 @@ class TestReportSchema:
         report = make_report(results)
         report["schema"] = "repro/other/v1"
         with pytest.raises(ValueError, match="schema"):
-            validate_adversary_report(report)
+            validate_report(report)
 
     def test_missing_cell_key_rejected(self, results):
         report = make_report(results)
         del report["cells"][0]["digest"]
         with pytest.raises(ValueError, match="digest"):
-            validate_adversary_report(report)
+            validate_report(report)
 
     def test_out_of_range_rate_rejected(self, results):
         report = make_report(results)
         report["cells"][0]["capture_fraction"] = 1.5
         with pytest.raises(ValueError, match="capture_fraction"):
-            validate_adversary_report(report)
+            validate_report(report)
 
     def test_malformed_plan_rejected(self, results):
         report = make_report(results)
         report["cells"][0]["plan"] = {"sybils": 3}  # no seed
         with pytest.raises((ValueError, TypeError, KeyError)):
-            validate_adversary_report(report)
+            validate_report(report)
 
     def test_too_few_overlays_rejected(self, results):
         report = make_report(results)
@@ -164,13 +164,13 @@ class TestReportSchema:
             if cell["protocol"] == "cycloid"
         ]
         with pytest.raises(ValueError, match="overlays"):
-            validate_adversary_report(report)
+            validate_report(report)
 
     def test_missing_hotspot_cells_rejected(self, results):
         report = make_report(results)
         report["hotspot"]["cells"] = []
         with pytest.raises(ValueError, match="hotspot"):
-            validate_adversary_report(report)
+            validate_report(report)
 
 
 class TestCommittedArtifact:
@@ -180,7 +180,7 @@ class TestCommittedArtifact:
         and the cache measurably absorbs the hotspot."""
         path = pathlib.Path(__file__).parents[2] / "BENCH_adversary.json"
         report = json.loads(path.read_text())
-        validate_adversary_report(report)
+        validate_report(report)
         assert report["population"] == 2048
         protocols = {cell["protocol"] for cell in report["cells"]}
         assert protocols >= {"cycloid", "chord", "koorde"}

@@ -10,8 +10,8 @@ from repro.experiments.fig_latency import (
     LATENCY_BENCH_SCHEMA,
     latency_report,
     run_latency_experiment,
-    validate_latency_report,
 )
+from repro.experiments.reports import validate_report
 from repro.sim.latency import LatencyModel
 
 SMALL = dict(dimension=4, lookups=120, seed=11)
@@ -54,7 +54,7 @@ class TestReportSchema:
     def test_valid_report_passes(self):
         report = self.make_report()
         assert report["schema"] == LATENCY_BENCH_SCHEMA
-        validate_latency_report(report)
+        validate_report(report)
 
     def test_workers_field_is_provenance_only(self):
         one = self.make_report(workers=1)
@@ -77,7 +77,7 @@ class TestReportSchema:
         report = self.make_report()
         del report["cells"][0]["digest"]
         with pytest.raises(ValueError, match="digest"):
-            validate_latency_report(report)
+            validate_report(report)
 
     def test_inconsistent_proximity_claim_rejected(self):
         report = self.make_report()
@@ -85,7 +85,7 @@ class TestReportSchema:
             "proximity_wins"
         ]
         with pytest.raises(ValueError, match="proximity_wins"):
-            validate_latency_report(report)
+            validate_report(report)
 
 
 class TestCommittedArtifact:
@@ -94,7 +94,7 @@ class TestCommittedArtifact:
         the §S25 acceptance result: proximity beats random wiring."""
         path = pathlib.Path(__file__).parents[2] / "BENCH_latency.json"
         report = json.loads(path.read_text())
-        validate_latency_report(report)
+        validate_report(report)
         assert report["size"] == 2048
         assert LatencyModel.from_config(report["model"]) == DEFAULT_MODEL
         assert report["proximity"]["proximity_wins"] is True

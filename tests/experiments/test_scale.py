@@ -12,8 +12,8 @@ from repro.experiments.scale import (
     run_scale_experiment,
     scale_parity,
     scale_report,
-    validate_scale_report,
 )
+from repro.experiments.reports import validate_report
 
 SMALL = dict(
     counts=(500, 2000),
@@ -93,7 +93,7 @@ class TestReportSchema:
 
     def test_valid_report_passes(self, report):
         assert report["schema"] == SCALE_BENCH_SCHEMA
-        validate_scale_report(report)
+        validate_report(report)
 
     def test_parity_digests_match_at_test_scale(self, report):
         assert report["parity"]["digest_match"] is True
@@ -102,7 +102,7 @@ class TestReportSchema:
         broken = json.loads(json.dumps(report))
         del broken["cells"][0]["digest"]
         with pytest.raises(ValueError, match="digest"):
-            validate_scale_report(broken)
+            validate_report(broken)
 
     def test_tampered_digest_match_rejected(self, report):
         broken = json.loads(json.dumps(report))
@@ -110,13 +110,13 @@ class TestReportSchema:
             "digest_match"
         ]
         with pytest.raises(ValueError, match="digest_match"):
-            validate_scale_report(broken)
+            validate_report(broken)
 
     def test_tampered_speedup_rejected(self, report):
         broken = json.loads(json.dumps(report))
         broken["parity"]["speedup"] = broken["parity"]["speedup"] * 2
         with pytest.raises(ValueError, match="speedup"):
-            validate_scale_report(broken)
+            validate_report(broken)
 
     def test_inconsistent_speedup_flag_rejected(self, report):
         broken = json.loads(json.dumps(report))
@@ -124,13 +124,13 @@ class TestReportSchema:
             "speedup_ok"
         ]
         with pytest.raises(ValueError, match="speedup_ok"):
-            validate_scale_report(broken)
+            validate_report(broken)
 
     def test_wrong_schema_rejected(self, report):
         broken = json.loads(json.dumps(report))
         broken["schema"] = "repro/other/v1"
         with pytest.raises(ValueError, match="schema"):
-            validate_scale_report(broken)
+            validate_report(broken)
 
 
 class TestCommittedArtifact:
@@ -141,7 +141,7 @@ class TestCommittedArtifact:
         lookups executed on it."""
         path = pathlib.Path(__file__).parents[2] / "BENCH_scale.json"
         report = json.loads(path.read_text())
-        validate_scale_report(report)
+        validate_report(report)
         parity = report["parity"]
         assert parity["digest_match"] is True
         assert parity["target_count"] == 10**6

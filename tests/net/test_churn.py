@@ -271,9 +271,9 @@ class TestChurnstorm:
         assert report["ops"]["failures"] == 0
         assert report["ops"]["completed"] == 200
         # The validator accepts the open-churn shape.
-        from repro.experiments.bench import validate_net_report
+        from repro.experiments.reports import validate_report
 
-        validate_net_report(report)
+        validate_report(report)
 
     def test_open_workload_is_seed_deterministic(self):
         a = make_open_operations(50, seed=3, rate=100.0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.bench import validate_net_report
+from repro.experiments.reports import validate_report
 from repro.net.loadgen import (
     NET_BENCH_SCHEMA,
     build_from_recipe,
@@ -59,7 +59,7 @@ class TestClosedLoopRun:
         report = run_loadgen(
             BUILD_32, servers=4, clients=64, lookups=96, puts=16, seed=13
         )
-        validate_net_report(report)
+        validate_report(report)
         assert report["schema"] == NET_BENCH_SCHEMA
         assert report["clients"] == 64
         assert report["ops"]["total"] == 128
@@ -135,37 +135,37 @@ class TestSchemaGuard:
         )
 
     def test_valid_report_passes(self):
-        validate_net_report(self.make_report())
+        validate_report(self.make_report())
 
     def test_wrong_schema_tag_rejected(self):
         report = self.make_report()
         report["schema"] = "repro/net-bench/v0"
         with pytest.raises(ValueError, match="schema"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_missing_section_rejected(self):
         report = self.make_report()
         del report["latency_ms"]
         with pytest.raises(ValueError, match="latency_ms"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_missing_nested_key_rejected(self):
         report = self.make_report()
         del report["ops"]["failures"]
         with pytest.raises(ValueError, match="failures"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_inconsistent_match_flag_rejected(self):
         report = self.make_report()
         report["digest"]["match"] = not report["digest"]["match"]
         with pytest.raises(ValueError, match="inconsistent"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_malformed_digest_rejected(self):
         report = self.make_report()
         report["digest"]["live"] = "not-a-hash"
         with pytest.raises(ValueError, match="sha256"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_missing_mode_rejected(self):
         """``mode`` is mandatory, not defaulted: a report that omits it
@@ -174,7 +174,7 @@ class TestSchemaGuard:
         report = self.make_report()
         del report["mode"]
         with pytest.raises(ValueError, match="mode"):
-            validate_net_report(report)
+            validate_report(report)
 
 
 class TestChurnSchemaGuard:
@@ -199,42 +199,42 @@ class TestChurnSchemaGuard:
         report = self.make_report()
         assert report["mode"] == "open-churn"
         assert report["complete"] is True
-        validate_net_report(report)
+        validate_report(report)
 
     def test_churn_report_needs_no_digest(self):
         report = self.make_report()
         assert "digest" not in report
-        validate_net_report(report)
+        validate_report(report)
 
     def test_missing_churn_section_rejected(self):
         report = self.make_report()
         del report["churn"]
         with pytest.raises(ValueError, match="churn"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_missing_survival_rate_rejected(self):
         report = self.make_report()
         del report["churn"]["survival_rate"]
         with pytest.raises(ValueError, match="survival_rate"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_inconsistent_survival_rate_rejected(self):
         report = self.make_report()
         report["churn"]["survival_rate"] = 0.5  # but nothing was lost
         with pytest.raises(ValueError, match="survival_rate"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_unknown_mode_rejected(self):
         report = self.make_report()
         report["mode"] = "sideways"
         with pytest.raises(ValueError, match="mode"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_missing_mode_rejected_for_churn_shape_too(self):
         report = self.make_report()
         del report["mode"]
         with pytest.raises(ValueError, match="mode"):
-            validate_net_report(report)
+            validate_report(report)
 
     def test_closed_loop_report_is_marked_complete(self):
         report = run_loadgen(
@@ -321,7 +321,7 @@ class TestInterruptedRun:
         # The partial report still passes the schema guard — which now
         # insists on ``mode``.
         assert report["mode"] == "closed-loop"
-        validate_net_report(report)
+        validate_report(report)
 
 
 class TestPartialReportBranch:
@@ -334,7 +334,7 @@ class TestPartialReportBranch:
         report = partial_report(
             BUILD_32, servers=4, clients=8, lookups=20, puts=4, seed=3
         )
-        validate_net_report(report)
+        validate_report(report)
         assert report["schema"] == NET_BENCH_SCHEMA
         # The regression: very-early interrupts used to omit ``mode``.
         assert report["mode"] == "closed-loop"
@@ -353,11 +353,11 @@ class TestPartialReportBranch:
         )
         assert pending["digest"]["live"] == results_digest([])
         assert pending["digest"]["match"] is False
-        validate_net_report(pending)
+        validate_report(pending)
 
         empty = partial_report(
             BUILD_32, servers=2, clients=2, lookups=0, puts=0, seed=1
         )
         assert empty["ops"]["total"] == 0
         assert empty["digest"]["match"] is True
-        validate_net_report(empty)
+        validate_report(empty)

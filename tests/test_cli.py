@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, TRACEABLE_COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -21,6 +21,24 @@ class TestParser:
     def test_seed_is_global(self):
         args = build_parser().parse_args(["--seed", "7", "fig13"])
         assert args.seed == 7
+
+    @pytest.mark.parametrize(
+        "command, default", [("fig-scale", 11), ("fig-adversary", 23)]
+    )
+    def test_seed_either_position_on_commands_with_own_default(
+        self, command, default
+    ):
+        parser = build_parser()
+        assert parser.parse_args(["--seed", "5", command]).seed == 5
+        assert parser.parse_args([command, "--seed", "6"]).seed == 6
+        # Neither position given: the command's own default applies, so
+        # the committed BENCH_scale.json / BENCH_adversary.json still
+        # reproduce from a bare invocation.
+        assert parser.parse_args([command]).seed == default
+
+    def test_global_seed_default(self):
+        assert build_parser().parse_args(["fig5"]).seed == 42
+        assert build_parser().parse_args(["--seed", "0", "fig5"]).seed == 0
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -207,11 +225,44 @@ class TestWorkers:
         parser = build_parser()
         for command in (
             "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "fig-crash", "maint",
+            "fig12", "fig13", "fig14", "fig-crash", "fig-latency",
+            "fig-adversary", "maint",
         ):
             args = parser.parse_args([command, "--workers", "3"])
             assert args.workers == 3
             assert parser.parse_args([command]).workers == 1
+
+    def test_backend_flag_on_exactly_the_pure_lookup_commands(self):
+        parser = build_parser()
+        with_backend = {
+            "fig5", "fig6", "fig7", "fig14", "fig-crash", "fig-latency",
+            "fig-adversary",
+        }
+        for command in COMMANDS:
+            namespace = vars(parser.parse_args([command]))
+            assert ("backend" in namespace) == (command in with_backend)
+        for command in sorted(with_backend):
+            args = parser.parse_args([command, "--backend", "columnar"])
+            assert args.backend == "columnar"
+
+    def test_traceable_commands(self):
+        assert TRACEABLE_COMMANDS == (
+            "fig5", "fig6", "fig7", "fig10", "fig11", "fig12", "fig13",
+            "fig14", "fig-crash", "fig-latency", "fig-adversary", "maint",
+        )
+
+    def test_table_arguments_all_reach_the_runner(self):
+        """A table command's option is honoured only if its runner has
+        the parameter the option maps to: catch a misnamed mapping."""
+        import inspect
+
+        table_run = COMMANDS["fig5"].run
+        tables = [c for c in COMMANDS.values() if c.run is table_run]
+        assert len(tables) == 13
+        for command in tables:
+            params = inspect.signature(command.runner).parameters
+            for arg in command.arguments:
+                assert arg.param in params, (command.help, arg.flag)
 
     def test_fig5_output_is_worker_invariant(self, capsys):
         base = ["fig5", "--lookups", "160", "--dimensions", "3", "4"]
@@ -264,6 +315,12 @@ class TestBench:
             assert cell["serial_seconds"] > 0
             assert cell["parallel_seconds"] > 0
             assert len(cell["digest"]) == 64
+
+    def test_bench_rejects_unknown_protocol(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--protocols", "nosuch"])
+        assert exit_info.value.code == 2
+        assert "nosuch" in capsys.readouterr().err
 
     def test_bench_rejects_single_worker(self):
         with pytest.raises(ValueError):
